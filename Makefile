@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test lint perflint conclint race chaos overload check bench
+.PHONY: build test lint perflint conclint race chaos overload check bench perfbench
 
 build:
 	$(GO) build ./...
@@ -32,6 +32,13 @@ race:
 
 bench:
 	sh scripts/bench.sh
+
+# The repository benchmark's own tests (a separate module, outside
+# ./...): traced compositions equal their figures byte for byte, and
+# scan-agg's seed-1 output matches _perfbench/digests.json. About a
+# minute on a 2-core host.
+perfbench:
+	cd _perfbench && $(GO) test ./...
 
 chaos:
 	sh scripts/check.sh chaos

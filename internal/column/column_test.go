@@ -1,6 +1,7 @@
 package column
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -181,6 +182,34 @@ func TestPackedVectorBounds(t *testing.T) {
 			f()
 		}()
 	}
+	// The messages keep their text. CountInRange rejects a non-empty
+	// row range outside [0, 4), even with an empty code range, and
+	// names the first index a Get loop over the range would reject.
+	for _, tc := range []struct {
+		f    func()
+		want string
+	}{
+		{func() { v.Get(4) }, "column: index 4 out of 4"},
+		{func() { v.Set(0, 256) }, "column: code 256 exceeds 8 bits"},
+		{func() { v.CountInRange(-1, 2, 0, 10) }, "column: index -1 out of 4"},
+		{func() { v.CountInRange(-1, 2, 10, 0) }, "column: index -1 out of 4"},
+		{func() { v.CountInRange(2, 5, 0, 10) }, "column: index 4 out of 4"},
+		{func() { v.CountInRange(4, 5, 0, 10) }, "column: index 4 out of 4"},
+		{func() { v.CountInRange(6, 9, 0, 10) }, "column: index 6 out of 4"},
+	} {
+		func() {
+			defer func() {
+				if got := fmt.Sprint(recover()); got != tc.want {
+					t.Errorf("panic %q, want %q", got, tc.want)
+				}
+			}()
+			tc.f()
+		}()
+	}
+	// Empty row ranges never touch the vector, in bounds or not.
+	if v.CountInRange(4, 4, 0, 10) != 0 || v.CountInRange(9, 2, 0, 10) != 0 {
+		t.Error("empty row range should count 0")
+	}
 	if _, err := NewPackedVector(s, "p", -1, 8); err == nil {
 		t.Error("negative length should fail")
 	}
@@ -241,6 +270,82 @@ func TestCountInRange(t *testing.T) {
 	}
 	if got := v.CountInRange(0, 100, 200, 250); got != 0 {
 		t.Errorf("CountInRange empty = %d", got)
+	}
+}
+
+// TestCountInRangeMatchesGet is the differential test of the streaming
+// kernel: for every code width, CountInRange must equal a Get loop over
+// random ranges plus the edges where the bit cursor changes words —
+// ranges starting or ending on a 64-bit word boundary or on a code that
+// straddles one, empty ranges, ranges ending at Len, and code ranges
+// that are empty, start at 0 or end at 1<<bits.
+func TestCountInRangeMatchesGet(t *testing.T) {
+	const n = 700
+	for bitw := uint(1); bitw <= 32; bitw++ {
+		s := memory.NewSpace()
+		v, err := NewPackedVector(s, "p", n, bitw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(bitw)))
+		mask := uint32(1<<bitw - 1)
+		for i := 0; i < n; i++ {
+			v.Set(i, rng.Uint32()&mask)
+		}
+		want := func(from, to int, lo, hi uint32) int64 {
+			var cnt int64
+			for i := from; i < to; i++ {
+				if c := v.Get(i); c >= lo && c < hi {
+					cnt++
+				}
+			}
+			return cnt
+		}
+
+		// Rows where the cursor meets a word edge: the first code of a
+		// word and the codes that straddle two words.
+		edges := []int{0, 1, n - 1, n}
+		for i := 0; i < n; i++ {
+			off := uint(i) * bitw % 64
+			if off == 0 || off+bitw > 64 {
+				edges = append(edges, i, i+1)
+			}
+		}
+		rows := [][2]int{{0, n}, {0, 0}, {n, n}, {n / 2, n / 2}}
+		for k := 0; k < 40; k++ {
+			a, b := edges[rng.Intn(len(edges))], edges[rng.Intn(len(edges))]
+			if a > b {
+				a, b = b, a
+			}
+			rows = append(rows, [2]int{a, b}, [2]int{a, n})
+			a, b = rng.Intn(n+1), rng.Intn(n+1)
+			if a > b {
+				a, b = b, a
+			}
+			rows = append(rows, [2]int{a, b})
+		}
+
+		top := uint32(1<<bitw - 1) // 1<<bits, short of 2^32 at 32 bits
+		if bitw < 32 {
+			top = 1 << bitw
+		}
+		codes := [][2]uint32{{0, top}, {0, 1}, {top - 1, top}, {0, 0}, {7, 7}, {top, 0}, {mask / 2, mask / 3}}
+		for k := 0; k < 6; k++ {
+			lo, hi := rng.Uint32()&mask, rng.Uint32()&mask
+			if lo > hi {
+				lo, hi = hi, lo
+			}
+			codes = append(codes, [2]uint32{lo, hi}, [2]uint32{0, hi}, [2]uint32{lo, top})
+		}
+
+		for _, r := range rows {
+			for _, c := range codes {
+				if got, w := v.CountInRange(r[0], r[1], c[0], c[1]), want(r[0], r[1], c[0], c[1]); got != w {
+					t.Fatalf("bits=%d: CountInRange(%d, %d, %d, %d) = %d, Get loop %d",
+						bitw, r[0], r[1], c[0], c[1], got, w)
+				}
+			}
+		}
 	}
 }
 

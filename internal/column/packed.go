@@ -51,45 +51,60 @@ func (v *PackedVector) Bytes() uint64 { return uint64(len(v.words)) * 8 }
 func (v *PackedVector) Region() memory.Region { return v.region }
 
 // Set stores a code at index i. Codes wider than the vector's width
-// are rejected as corruption.
+// are rejected as corruption. Unlike Get it does not inline (the
+// two-word store of a straddling code alone exceeds the budget); it
+// runs when data is loaded, not in the query kernels.
 func (v *PackedVector) Set(i int, code uint32) {
-	if i < 0 || i >= v.n {
-		panic(fmt.Sprintf("column: index %d out of %d", i, v.n))
+	if uint(i) >= uint(v.n) {
+		panic(indexError{i, v.n})
 	}
-	if v.bits < 32 && code >= 1<<v.bits {
-		panic(fmt.Sprintf("column: code %d exceeds %d bits", code, v.bits))
+	if uint64(code)>>v.bits != 0 {
+		panic(codeError{code, v.bits})
 	}
 	bitPos := uint64(i) * uint64(v.bits)
-	w, off := bitPos/64, bitPos%64
+	w, off := bitPos>>6, bitPos&63
 	mask := uint64(1)<<v.bits - 1
-	if v.bits == 32 {
-		mask = 1<<32 - 1
-	}
 	v.words[w] = v.words[w]&^(mask<<off) | uint64(code)<<off
 	if off+uint64(v.bits) > 64 {
-		spill := off + uint64(v.bits) - 64
-		hiBits := uint64(code) >> (uint64(v.bits) - spill)
-		hiMask := uint64(1)<<spill - 1
-		v.words[w+1] = v.words[w+1]&^hiMask | hiBits
+		// The code's high bits spill into the low bits of the next word.
+		spill := 64 - off
+		v.words[w+1] = v.words[w+1]&^(mask>>spill) | uint64(code)>>spill
 	}
 }
 
-// Get loads the code at index i.
+// Get loads the code at index i. It fits the compiler's inlining
+// budget, so the per-row loops of the aggregation and join kernels pay
+// no call for it.
 func (v *PackedVector) Get(i int) uint32 {
-	if i < 0 || i >= v.n {
-		panic(fmt.Sprintf("column: index %d out of %d", i, v.n))
+	if uint(i) >= uint(v.n) {
+		panic(indexError{i, v.n})
 	}
 	bitPos := uint64(i) * uint64(v.bits)
-	w, off := bitPos/64, bitPos%64
-	mask := uint64(1)<<v.bits - 1
-	if v.bits == 32 {
-		mask = 1<<32 - 1
-	}
+	w, off := bitPos>>6, bitPos&63
 	val := v.words[w] >> off
 	if off+uint64(v.bits) > 64 {
 		val |= v.words[w+1] << (64 - off)
 	}
-	return uint32(val & mask)
+	return uint32(val & (1<<v.bits - 1))
+}
+
+// indexError and codeError are the panic values of the accessors. A
+// small struct formatted only when printed keeps fmt, and a call, off
+// Get's path: a call to a formatting helper alone would push Get past
+// the inlining budget.
+type indexError struct{ i, n int }
+
+func (e indexError) Error() string {
+	return fmt.Sprintf("column: index %d out of %d", e.i, e.n)
+}
+
+type codeError struct {
+	code uint32
+	bits uint
+}
+
+func (e codeError) Error() string {
+	return fmt.Sprintf("column: code %d exceeds %d bits", e.code, e.bits)
 }
 
 // Addr returns the byte address holding the first bit of code i, the
@@ -113,15 +128,51 @@ func (v *PackedVector) RowsPerLine() float64 {
 }
 
 // CountInRange counts codes c with lo <= c < hi over rows [from, to),
-// the kernel of the compressed column scan. It is implemented on the
-// packed words directly (word-at-a-time in spirit, scalar in letter).
+// the kernel of the compressed column scan. It streams the packed words
+// through one 64-bit buffer: each code is shifted out of the buffer,
+// which is refilled from the next word only when a code straddles a
+// word boundary, so there is no per-code multiply, divide or bounds
+// check. The range test is branch-free: with lo < hi, c is in range
+// exactly when the 32-bit difference c-lo is below hi-lo, which the
+// sign bit of their 64-bit difference reports. An empty row range or
+// an empty code range counts 0; a non-empty row range outside
+// [0, Len()) panics like Get at the first bad index.
 func (v *PackedVector) CountInRange(from, to int, lo, hi uint32) int64 {
-	var cnt int64
-	for i := from; i < to; i++ {
-		c := v.Get(i)
-		if c >= lo && c < hi {
-			cnt++
-		}
+	if from >= to {
+		return 0
 	}
-	return cnt
+	if uint(from) >= uint(v.n) {
+		panic(indexError{from, v.n})
+	}
+	if to > v.n {
+		panic(indexError{v.n, v.n})
+	}
+	if lo >= hi {
+		return 0
+	}
+	bits := v.bits
+	mask := uint64(1)<<bits - 1
+	width := uint64(hi - lo)
+	words := v.words
+	bitPos := uint64(from) * uint64(bits)
+	w := bitPos >> 6
+	buf := words[w] >> (bitPos & 63) // unconsumed bits, low-aligned
+	avail := 64 - uint(bitPos&63)    // how many of buf's bits are valid
+	var cnt uint64
+	for k := to - from; k > 0; k-- {
+		var c uint64
+		if avail >= bits {
+			c = buf & mask
+			buf >>= bits
+			avail -= bits
+		} else {
+			w++
+			next := words[w]
+			c = (buf | next<<avail) & mask
+			buf = next >> (bits - avail)
+			avail += 64 - bits
+		}
+		cnt += (uint64(uint32(c)-lo) - width) >> 63
+	}
+	return int64(cnt)
 }

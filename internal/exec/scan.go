@@ -60,15 +60,18 @@ func firstRowOfLine(v *column.PackedVector, line uint64) int {
 // Step processes up to budget rows, one cache line of codes at a time.
 // The per-line [read, compute] pairs of a slice are submitted as one
 // batch, preserving the exact access sequence while amortizing the
-// per-reference simulator call overhead.
+// per-reference simulator call overhead. The lines of a step cover the
+// contiguous rows [start, cur), so the predicate is counted by one
+// CountInRange call over them rather than one per line: the simulator
+// sees the same references, and Count is only read between steps.
 //
 //perf:hot column-scan kernel inner loop
 func (s *ColumnScan) Step(ctx *Ctx, budget int) (int, bool) {
-	processed := 0
+	start := s.cur
 	codes := s.Col.Codes
 	region := codes.Region()
 	s.ops = s.ops[:0]
-	for processed < budget && s.cur < s.To {
+	for s.cur-start < budget && s.cur < s.To {
 		line := codes.LineOfRow(s.cur)
 		end := firstRowOfLine(codes, line+1)
 		if end > s.To {
@@ -82,12 +85,11 @@ func (s *ColumnScan) Step(ctx *Ctx, budget int) (int, bool) {
 			Cycles: ScanCyclesPerLine,
 			Instrs: ScanInstrsPerLine,
 		})
-		s.Count += codes.CountInRange(s.cur, end, s.LoCode, s.HiCode)
-		processed += end - s.cur
 		s.cur = end
 	}
+	s.Count += codes.CountInRange(start, s.cur, s.LoCode, s.HiCode)
 	ctx.ReadBatch(s.ops)
-	return processed, s.cur >= s.To
+	return s.cur - start, s.cur >= s.To
 }
 
 // Reset rewinds the kernel for a fresh execution with a new predicate

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	cachelint [-tier intra|inter|perf|conc|all[,...]] [-checks nondet,...] [-baseline file] [-json] [-list] [packages]
+//	cachelint [-tier intra|inter|perf|conc|all[,...]] [-checks nondet,...] [-baseline file] [-json] [-list] [-cpuprofile file] [-memprofile file] [packages]
 //
 // Packages default to ./... relative to the enclosing module. The
 // exit status is 0 when the tree is clean, 1 when diagnostics were
@@ -50,6 +50,7 @@ import (
 	"strings"
 
 	"cachepart/internal/lint"
+	"cachepart/internal/profile"
 )
 
 func main() {
@@ -59,6 +60,8 @@ func main() {
 		baseline = flag.String("baseline", "", "JSONL file of accepted findings to suppress, matched by (file, check, message)")
 		list     = flag.Bool("list", false, "list the available checks and exit")
 		jsonMode = flag.Bool("json", false, "print one JSON object per diagnostic, including allowed findings")
+		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
+		memProf  = flag.String("memprofile", "", "write a pprof heap profile at the end of the run to this file")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: cachelint [flags] [packages]\n")
@@ -73,6 +76,10 @@ func main() {
 		return
 	}
 
+	stopProfile, err := profile.Start(*cpuProf, *memProf)
+	if err != nil {
+		fatal(err)
+	}
 	root, err := findModuleRoot()
 	if err != nil {
 		fatal(err)
@@ -165,6 +172,9 @@ func main() {
 			continue
 		}
 		fmt.Printf("%s:%d:%d: [%s] %s\n", pos.Filename, pos.Line, pos.Column, d.Check, d.Message)
+	}
+	if err := stopProfile(); err != nil {
+		fatal(err)
 	}
 	if baselined > 0 {
 		fmt.Fprintf(os.Stderr, "cachelint: %d finding(s) suppressed by baseline %s\n", baselined, *baseline)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -128,5 +129,32 @@ func TestLoadBaselineRejectsBadJSON(t *testing.T) {
 	}
 	if _, err := loadBaseline(path); err == nil {
 		t.Error("malformed baseline line accepted")
+	}
+}
+
+// mainArgsEnv carries the command line for a re-executed test binary
+// that runs main instead of the tests, one argument per line.
+const mainArgsEnv = "CACHELINT_MAIN_ARGS"
+
+// TestProfileFlags lints one small package with -cpuprofile and
+// -memprofile and checks that both profiles are written.
+func TestProfileFlags(t *testing.T) {
+	if args, ok := os.LookupEnv(mainArgsEnv); ok {
+		os.Args = append([]string{"cachelint"}, strings.Split(args, "\n")...)
+		main()
+		return
+	}
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	args := []string{"-cpuprofile", cpu, "-memprofile", mem, "-checks", "nondet", "../../internal/memory"}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestProfileFlags$")
+	cmd.Env = append(os.Environ(), mainArgsEnv+"="+strings.Join(args, "\n"))
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("cachelint %v: %v\n%s", args, err, out)
+	}
+	for _, f := range []string{cpu, mem} {
+		if st, err := os.Stat(f); err != nil || st.Size() == 0 {
+			t.Errorf("profile %s not written (%v)", filepath.Base(f), err)
+		}
 	}
 }

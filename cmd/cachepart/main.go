@@ -21,6 +21,7 @@ import (
 	"cachepart/internal/core"
 	"cachepart/internal/fault"
 	"cachepart/internal/harness"
+	"cachepart/internal/profile"
 	"cachepart/internal/resctrl"
 	"cachepart/internal/serve"
 )
@@ -36,7 +37,7 @@ func main() {
 		ways     = flag.String("ways", "", "comma-separated LLC way limits to sweep (default 2,4,...,20)")
 		seed     = flag.Int64("seed", 1, "random seed")
 		parallel = flag.Bool("parallel", false, "simulate private cache levels on parallel host goroutines (deterministic; DESIGN.md §11)")
-		workers  = flag.Int("workers", 0, "host goroutines for -parallel (default GOMAXPROCS)")
+		workers  = flag.Int("workers", 0, "host goroutines: the concurrent runs of one figure point, or the goroutines of a -parallel run (default GOMAXPROCS)")
 		epoch    = flag.Int64("epochticks", 0, "virtual-time lookahead between parallel merge barriers (default 65536)")
 
 		// serve-only flags (DESIGN.md §13).
@@ -53,6 +54,9 @@ func main() {
 		sheds   = flag.String("shed", "", "overload: comma-separated shedding policies to sweep — none, fair, polluter (default all)")
 		retries = flag.Int("retries", 0, "overload: client retry attempts per query (default 3; 1 disables retries)")
 		burst   = flag.Float64("burst", 0, "overload: inject a serving-plane arrival-burst fault at this rate factor (default off)")
+
+		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
+		memProfile = flag.String("memprofile", "", "write a pprof heap profile at the end of the run to this file")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: cachepart [flags] <fig1|fig4|fig5|fig6|fig9|fig10|fig11|fig12|proj|derive|cosched|adapt|chaos|serve|overload|all>\n")
@@ -101,9 +105,13 @@ func main() {
 	p.Workers = *workers
 	p.EpochTicks = *epoch
 
+	stopProfile, err := profile.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "cachepart: %v\n", err)
+		os.Exit(1)
+	}
 	cmd := flag.Arg(0)
 	t0 := time.Now() //lint:allow nondet operator-facing progress timing, not simulation state
-	var err error
 	switch cmd {
 	case "fig1":
 		err = runFig1(p)
@@ -154,6 +162,9 @@ func main() {
 	default:
 		flag.Usage()
 		os.Exit(2)
+	}
+	if perr := stopProfile(); err == nil {
+		err = perr
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "cachepart: %v\n", err)

@@ -60,6 +60,19 @@ func NewAggTable(space *memory.Space, name string, expectedGroups int) *AggTable
 	}
 }
 
+// Fork returns an empty table at the same simulated region, for an
+// identical run on a forked machine: the fork owns its slots and
+// shares nothing with t. A fork never allocates — growing it panics,
+// because a new region would come from the address space every fork
+// shares and would differ from the serial run's.
+func (t *AggTable) Fork() *AggTable {
+	return &AggTable{
+		slots:  make([]aggSlot, len(t.slots)),
+		region: t.region,
+		name:   t.name,
+	}
+}
+
 // Len reports the number of groups stored.
 func (t *AggTable) Len() int { return t.count }
 
@@ -201,6 +214,9 @@ func (t *AggTable) Each(fn func(key uint32, val int64)) {
 // expected-group sizing normally prevents this). The rehash reports
 // sequential reads of the old table and writes into the new one.
 func (t *AggTable) grow(ctx *Ctx) {
+	if t.space == nil {
+		panic(fmt.Sprintf("exec: forked AggTable %s would grow past %d slots", t.name, len(t.slots)))
+	}
 	old := t.slots
 	oldRegion := t.region
 	t.grows++

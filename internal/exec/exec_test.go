@@ -184,6 +184,37 @@ func TestAggTableCollisionsAndGrowth(t *testing.T) {
 	}
 }
 
+// TestAggTableForkGrowPanics pins the fork contract: a fork is an
+// empty table at the original's region that shares no slots with it,
+// and one that would grow panics instead of allocating from the
+// shared address space.
+func TestAggTableForkGrowPanics(t *testing.T) {
+	ctx, space := testCtx(t)
+	tab := NewAggTable(space, "t", 4)
+	tab.UpdateMax(ctx, 1, 1)
+	allocated := space.Allocated()
+	f := tab.Fork()
+	if f.Region() != tab.Region() || f.Cap() != tab.Cap() || f.Len() != 0 {
+		t.Fatalf("fork: region %v cap %d len %d, want %v, %d, 0",
+			f.Region(), f.Cap(), f.Len(), tab.Region(), tab.Cap())
+	}
+	f.UpdateMax(ctx, 2, 2)
+	if _, ok := tab.Get(2); ok || tab.Len() != 1 {
+		t.Error("fork wrote into the original's slots")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("growing a forked table did not panic")
+		}
+		if got := space.Allocated(); got != allocated {
+			t.Errorf("fork allocated %d bytes", got-allocated)
+		}
+	}()
+	for k := uint32(3); k < uint32(f.Cap())+3; k++ {
+		f.UpdateMax(ctx, k, int64(k))
+	}
+}
+
 func TestAggTableClear(t *testing.T) {
 	ctx, space := testCtx(t)
 	tab := NewAggTable(space, "t", 10)

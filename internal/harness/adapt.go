@@ -40,6 +40,20 @@ func Unannotated(q engine.Query) engine.Query {
 
 func (u *unannotated) Name() string { return u.q.Name() }
 
+// Fork forwards to the wrapped query and strips the fork's annotations
+// too; nil when the wrapped query cannot fork.
+func (u *unannotated) Fork(cores int) engine.Query {
+	f, ok := u.q.(forker)
+	if !ok {
+		return nil
+	}
+	fq := f.Fork(cores)
+	if fq == nil {
+		return nil
+	}
+	return Unannotated(fq)
+}
+
 func (u *unannotated) Plan(cores int, rng *rand.Rand) ([]engine.Phase, error) {
 	phases, err := u.q.Plan(cores, rng)
 	if err != nil {
@@ -75,27 +89,22 @@ type AdaptResult struct {
 	Config adapt.Config
 }
 
-// adaptArms builds the three experiment arms over a system. The
-// static policy stays disabled in the adaptive arm: whatever the
-// controller achieves it achieves from telemetry (plus whatever
-// annotations the queries carry).
-func (s *System) adaptArms(cfg adapt.Config) []struct {
-	name  string
-	apply func() error
-} {
-	return []struct {
-		name  string
-		apply func() error
-	}{
-		{"shared", func() error {
+// adaptArms builds the three experiment arms. The static policy stays
+// disabled in the adaptive arm: whatever the controller achieves it
+// achieves from telemetry (plus whatever annotations the queries
+// carry). The shared and static arms detach any controller themselves,
+// because the serving sweeps apply the arms in turn to one System.
+func adaptArms(cfg adapt.Config) []pairArm {
+	return []pairArm{
+		{"shared", func(s *System) error {
 			s.DisableAdaptive()
 			return s.SetPartitioning(false)
 		}},
-		{"static", func() error {
+		{"static", func(s *System) error {
 			s.DisableAdaptive()
 			return s.SetPartitioning(true)
 		}},
-		{"adaptive", func() error {
+		{"adaptive", func(s *System) error {
 			if err := s.SetPartitioning(false); err != nil {
 				return err
 			}
@@ -126,7 +135,6 @@ func FigAdaptConfig(p Params, cfg adapt.Config) (AdaptResult, error) {
 	if err != nil {
 		return AdaptResult{}, err
 	}
-	defer sys.DisableAdaptive()
 	q1, err := NewQ1(sys)
 	if err != nil {
 		return AdaptResult{}, err
@@ -136,16 +144,15 @@ func FigAdaptConfig(p Params, cfg adapt.Config) (AdaptResult, error) {
 		return AdaptResult{}, err
 	}
 	out := AdaptResult{Config: cfg}
-
-	sys.DisableAdaptive()
-	annotated, err := sys.runPairArms("annotated", q1, q2, sys.adaptArms(cfg))
+	ca, cb := sys.SplitCores()
+	arms := adaptArms(cfg)
+	annotated, err := sys.runPairArms("annotated", q1, q2, ca, cb, arms)
 	if err != nil {
 		return AdaptResult{}, err
 	}
 	out.Annotated = annotated
 
-	sys.DisableAdaptive()
-	blind, err := sys.runPairArms("blind", Unannotated(q1), Unannotated(q2), sys.adaptArms(cfg))
+	blind, err := sys.runPairArms("blind", Unannotated(q1), Unannotated(q2), ca, cb, arms)
 	if err != nil {
 		return AdaptResult{}, err
 	}

@@ -39,54 +39,67 @@ type Fig9Panel struct {
 	Rows  []PairRow
 }
 
-// runPairArms measures the isolated baselines and each policy arm of a
-// query pair. The two queries run on disjoint halves of the cores, as
-// the engine pins co-running statements; isolated baselines use the
-// same core counts so normalization isolates cache and bandwidth
-// interference.
-func (s *System) runPairArms(label string, qa, qb engine.Query, arms []struct {
+// pairArm is one policy arm of a co-run. apply configures the System
+// that runs the arm, which starts from the row's base policy with no
+// controller attached.
+type pairArm struct {
 	name  string
-	apply func() error
-}) (PairRow, error) {
-	ca, cb := s.SplitCores()
+	apply func(*System) error
+}
+
+// partitionArms are the paper's two arms: no partitioning, then its
+// scheme.
+var partitionArms = []pairArm{
+	{"shared", func(s *System) error { return s.SetPartitioning(false) }},
+	{"partitioned", func(s *System) error { return s.SetPartitioning(true) }},
+}
+
+// runPairArms measures the isolated baselines and each policy arm of a
+// query pair co-running on the disjoint core sets ca and cb. The
+// isolated baselines use the same core sets, so normalization isolates
+// cache and bandwidth interference. The baselines and arms are
+// independent runs, so they run as concurrent jobs (runJobs) with the
+// serial loop's results.
+func (s *System) runPairArms(label string, qa, qb engine.Query, ca, cb []int, arms []pairArm) (PairRow, error) {
 	if err := s.SetPartitioning(false); err != nil {
 		return PairRow{}, err
 	}
-	isoA, err := s.RunIsolated(qa, ca)
-	if err != nil {
-		return PairRow{}, err
-	}
-	isoB, err := s.RunIsolated(qb, cb)
+	// Job 0 is A's baseline, job 1 B's, job 2+i arm i; each writes only
+	// its own slot.
+	ms := make([][2]Measure, 2+len(arms))
+	err := s.runJobs(len(ms), []engine.Query{qa, qb}, []int{len(ca), len(cb)},
+		func(w *System, qs []engine.Query, j int) error {
+			var err error
+			switch j {
+			case 0:
+				ms[j][0], err = w.RunIsolated(qs[0], ca)
+			case 1:
+				ms[j][1], err = w.RunIsolated(qs[1], cb)
+			default:
+				if err := arms[j-2].apply(w); err != nil {
+					return err
+				}
+				ms[j][0], ms[j][1], err = w.RunPair(qs[0], ca, qs[1], cb)
+			}
+			return err
+		})
 	if err != nil {
 		return PairRow{}, err
 	}
 	row := PairRow{
 		Label: label,
 		NameA: qa.Name(), NameB: qb.Name(),
-		IsoA: isoA, IsoB: isoB,
+		IsoA: ms[0][0], IsoB: ms[1][1],
 	}
-	basePolicy := s.Engine.Policy()
-	for _, arm := range arms {
-		if err := s.Engine.SetPolicy(basePolicy); err != nil {
-			return PairRow{}, err
-		}
-		if err := arm.apply(); err != nil {
-			return PairRow{}, err
-		}
-		ma, mb, err := s.RunPair(qa, ca, qb, cb)
-		if err != nil {
-			return PairRow{}, err
-		}
+	for i, arm := range arms {
+		ma, mb := ms[2+i][0], ms[2+i][1]
 		row.Arms = append(row.Arms, PairArm{
 			Name:  arm.name,
 			A:     ma,
 			B:     mb,
-			NormA: ratio(ma.Throughput, isoA.Throughput),
-			NormB: ratio(mb.Throughput, isoB.Throughput),
+			NormA: ratio(ma.Throughput, row.IsoA.Throughput),
+			NormB: ratio(mb.Throughput, row.IsoB.Throughput),
 		})
-	}
-	if err := s.Engine.SetPolicy(basePolicy); err != nil {
-		return PairRow{}, err
 	}
 	return row, nil
 }
@@ -112,6 +125,7 @@ func Fig9(p Params) ([]Fig9Panel, error) {
 	if err != nil {
 		return nil, err
 	}
+	ca, cb := sys.SplitCores()
 	var panels []Fig9Panel
 	for _, distinct := range p.dictSweep() {
 		panel := Fig9Panel{Label: fmt.Sprintf("%d MiB dictionary", 4*distinct/1_000_000)}
@@ -120,15 +134,7 @@ func Fig9(p Params) ([]Fig9Panel, error) {
 			if err != nil {
 				return nil, err
 			}
-			row, err := sys.runPairArms(
-				fmt.Sprintf("G=%s", sciLabel(groups)), q1, q2,
-				[]struct {
-					name  string
-					apply func() error
-				}{
-					{"shared", func() error { return sys.SetPartitioning(false) }},
-					{"partitioned", func() error { return sys.SetPartitioning(true) }},
-				})
+			row, err := sys.runPairArms(fmt.Sprintf("G=%s", sciLabel(groups)), q1, q2, ca, cb, partitionArms)
 			if err != nil {
 				return nil, err
 			}
@@ -152,6 +158,7 @@ func Fig10(p Params) ([]PairRow, error) {
 	if err != nil {
 		return nil, err
 	}
+	ca, cb := sys.SplitCores()
 	var rows []PairRow
 	keys10 := Fig10Keys
 	if len(p.KeySweep) > 0 {
@@ -167,16 +174,7 @@ func Fig10(p Params) ([]PairRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			row, err := sys.runPairArms(
-				fmt.Sprintf("P=%s G=%s", sciLabel(keys), sciLabel(groups)), q2, q3,
-				[]struct {
-					name  string
-					apply func() error
-				}{
-					{"shared", func() error { return sys.SetPartitioning(false) }},
-					{"join10", func() error { return sys.setJoinFraction(0.10) }},
-					{"join60", func() error { return sys.setJoinFraction(0.60) }},
-				})
+			row, err := sys.runPairArms(fmt.Sprintf("P=%s G=%s", sciLabel(keys), sciLabel(groups)), q2, q3, ca, cb, fig10Arms)
 			if err != nil {
 				return nil, err
 			}
@@ -184,6 +182,13 @@ func Fig10(p Params) ([]PairRow, error) {
 		}
 	}
 	return rows, nil
+}
+
+// fig10Arms are Figure 10's three configurations.
+var fig10Arms = []pairArm{
+	{"shared", func(s *System) error { return s.SetPartitioning(false) }},
+	{"join10", func(s *System) error { return s.setJoinFraction(0.10) }},
+	{"join60", func(s *System) error { return s.setJoinFraction(0.60) }},
 }
 
 // setJoinFraction forces the Depends class to a fixed LLC fraction by

@@ -122,6 +122,7 @@ func TestFig12Function(t *testing.T) {
 }
 
 func TestFigProjSweepFunction(t *testing.T) {
+	t.Parallel()
 	p := figureParams()
 	rows, err := FigProjSweep(p)
 	if err != nil {

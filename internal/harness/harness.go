@@ -49,8 +49,12 @@ type Params struct {
 	// barriers EpochTicks of virtual time apart (DESIGN.md §11).
 	// Results are deterministic and independent of Workers.
 	Parallel bool
-	// Workers caps the host goroutines of a parallel run; 0 uses
-	// GOMAXPROCS.
+	// Workers caps host goroutines, 0 meaning GOMAXPROCS. It caps the
+	// concurrent runs of one figure point — a co-run's isolated
+	// baselines and arms, each a serial-reference run on its own forked
+	// System (runJobs), so results never depend on it — and, with
+	// Parallel (which keeps points to one run at a time), the
+	// goroutines of each epoch-parallel run.
 	Workers int
 	// EpochTicks overrides the parallel lookahead horizon; 0 uses the
 	// engine default (65536 ticks).
@@ -159,7 +163,8 @@ func (p Params) ScaleN(n int64) int64 {
 }
 
 // System bundles the simulated machine, the engine and the address
-// space data sets live in.
+// space data sets live in. Forks (see fork) share the address space
+// and loaded data of the System they came from and have no Rng.
 type System struct {
 	Params  Params
 	Space   *memory.Space

@@ -220,11 +220,11 @@ func FigOverloadOpts(p Params, o OverloadOptions) (*OverloadResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			for _, arm := range sys.adaptArms(adapt.DefaultConfig()) {
+			for _, arm := range adaptArms(adapt.DefaultConfig()) {
 				if !armSelected(o.Arms, arm.name) {
 					continue
 				}
-				if err := arm.apply(); err != nil {
+				if err := arm.apply(sys); err != nil {
 					return nil, err
 				}
 				cfg := serve.Config{

@@ -21,6 +21,7 @@ func TestFigOverloadSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep in short mode")
 	}
+	t.Parallel()
 	r, err := FigOverloadOpts(Fast(), OverloadOptions{Loads: []float64{1, 3}})
 	if err != nil {
 		t.Fatal(err)

@@ -360,8 +360,8 @@ func FigServeOpts(p Params, o ServeOptions) (*ServeResult, error) {
 			Workers:      p.Workers,
 			EpochTicks:   p.EpochTicks,
 		}
-		for _, arm := range sys.adaptArms(adapt.DefaultConfig()) {
-			if err := arm.apply(); err != nil {
+		for _, arm := range adaptArms(adapt.DefaultConfig()) {
+			if err := arm.apply(sys); err != nil {
 				return nil, err
 			}
 			r, err := serve.Run(sys.Engine, groups, cfg)

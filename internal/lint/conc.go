@@ -25,6 +25,12 @@ import (
 //	                      with workers quiescent (a merge barrier or
 //	                      the serial reference path). Reaching it from
 //	                      a spawned goroutine is itself a finding.
+//	//conc:owns <why>     on a go statement (its line or the line
+//	                      above): the second ownership model — the
+//	                      spawned goroutine owns everything it writes,
+//	                      such as a whole forked System, for its life.
+//	                      epochshare roots no walk there; the other
+//	                      analyzers still check the spawn.
 //
 // The epochshare analyzer roots at goroutine spawn sites and walks the
 // call graph from each spawned closure; a write to state that is
@@ -38,6 +44,7 @@ import (
 const (
 	sharedDirective  = "//conc:shared"
 	barrierDirective = "//conc:barrier"
+	ownsDirective    = "//conc:owns"
 )
 
 // concInfo is the module-wide view of the conc directives, memoized on
@@ -220,6 +227,31 @@ func spawnSites(p *ModulePass) []spawnSite {
 		})
 	}
 	return sites
+}
+
+// spawnOwner finds a //conc:owns directive on a spawn's go statement
+// line or the line above, returning its position and rationale (empty
+// for a malformed bare marker).
+func spawnOwner(p *ModulePass, site spawnSite) (token.Pos, string, bool) {
+	pos := site.stmt.Pos()
+	line := p.Fset.Position(pos).Line
+	for _, f := range site.fn.Pkg.Files {
+		if pos < f.FileStart || pos >= f.FileEnd {
+			continue
+		}
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				rest, ok := strings.CutPrefix(c.Text, ownsDirective)
+				if !ok || (rest != "" && !strings.HasPrefix(rest, " ")) {
+					continue
+				}
+				if l := p.Fset.Position(c.Pos()).Line; l == line || l == line-1 {
+					return c.Pos(), strings.TrimSpace(rest), true
+				}
+			}
+		}
+	}
+	return token.NoPos, "", false
 }
 
 // localFuncLits maps function-value locals to their literal when the

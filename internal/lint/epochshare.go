@@ -11,10 +11,11 @@ import (
 // between merge barriers may write only goroutine-local state or state
 // whose sharing discipline is declared with //conc:shared, and may
 // never reach a //conc:barrier function. The analysis roots at go
-// statements and walks the call graph — function literals, local
-// function values, named callees, and every declared implementation of
-// a dynamically dispatched interface method (the class-hierarchy
-// closure of the PR 3 soundness caveat).
+// statements — except those whose //conc:owns directive declares that
+// the goroutine owns everything it writes — and walks the call graph:
+// function literals, local function values, named callees, and every
+// declared implementation of a dynamically dispatched interface method
+// (the class-hierarchy closure of the PR 3 soundness caveat).
 var EpochShare = &Analyzer{
 	Name:      "epochshare",
 	Doc:       "goroutine-spawned code writes only goroutine-local or //conc:shared state",
@@ -34,6 +35,12 @@ func runEpochShare(p *ModulePass) {
 		visitedLit: make(map[*ast.FuncLit]bool),
 	}
 	for _, site := range spawnSites(p) {
+		if pos, why, ok := spawnOwner(p, site); ok {
+			if why != "" {
+				continue // the goroutine owns what it writes
+			}
+			p.Reportf(pos, "malformed directive: want %s <reason>", ownsDirective)
+		}
 		es.spawn(site)
 	}
 }

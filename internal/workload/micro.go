@@ -140,6 +140,10 @@ func (q *ScanQuery) Name() string { return q.Label }
 // Spec returns the data-set parameters.
 func (q *ScanQuery) Spec() Q1Spec { return q.spec }
 
+// Fork returns the query itself: a scan holds no per-run state, so
+// runs on forked machines share it.
+func (q *ScanQuery) Fork(cores int) engine.Query { return q }
+
 // Plan builds one execution: a single polluting scan phase
 // partitioned across the cores.
 func (q *ScanQuery) Plan(cores int, rng *rand.Rand) ([]engine.Phase, error) {
@@ -179,6 +183,7 @@ type AggQuery struct {
 	ValueCol *column.Column
 	spec     Q2Spec
 
+	// space is nil on a fork, which must never allocate.
 	space      *memory.Space
 	locals     []*exec.AggTable
 	global     *exec.AggTable
@@ -225,6 +230,9 @@ func (q *AggQuery) LastResult() map[uint32]int64 { return q.lastResult }
 // function of the group count, is the cache footprint Figure 5 sweeps.
 func (q *AggQuery) ensureTables(cores int) {
 	groups := int(q.spec.Groups)
+	if q.space == nil && len(q.locals) != cores {
+		panic(fmt.Sprintf("workload: %s forked for %d cores, planned on %d", q.Label, len(q.locals), cores))
+	}
 	if len(q.locals) != cores {
 		q.locals = make([]*exec.AggTable, cores)
 		for i := range q.locals {
@@ -234,6 +242,24 @@ func (q *AggQuery) ensureTables(cores int) {
 	if q.global == nil {
 		q.global = exec.NewAggTable(q.space, "B.agg.global", groups)
 	}
+}
+
+// Fork returns a copy for an identical run on a forked machine. It
+// first materialises the tables on q, the same allocation the first
+// Plan on that many cores makes, then gives the copy fresh tables at
+// the same simulated regions. The copy shares the columns read-only
+// and never allocates: planning it on another core count panics.
+func (q *AggQuery) Fork(cores int) engine.Query {
+	q.ensureTables(cores)
+	f := *q
+	f.space = nil
+	f.lastResult = nil
+	f.locals = make([]*exec.AggTable, len(q.locals))
+	for i, t := range q.locals {
+		f.locals[i] = t.Fork()
+	}
+	f.global = q.global.Fork()
+	return &f
 }
 
 // PrewarmRegions declares the aggregation's steady-state working set:
@@ -375,6 +401,11 @@ func (q *JoinQuery) Name() string { return q.Label }
 
 // Spec returns the data-set parameters.
 func (q *JoinQuery) Spec() Q3Spec { return q.spec }
+
+// Fork returns the query itself: the bit vector is fully set at load
+// and builds only re-set bits, atomically, so runs on forked machines
+// share it.
+func (q *JoinQuery) Fork(cores int) engine.Query { return q }
 
 // Footprint reports the bit-vector size hint the policy's Depends
 // heuristic consumes.

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"cachepart/internal/cachesim"
@@ -168,6 +169,58 @@ func TestQ2PlanAndTables(t *testing.T) {
 	if _, err := NewQ2(space, testRng(), Q2Spec{Rows: 1}); err == nil {
 		t.Error("bad spec accepted")
 	}
+}
+
+// TestQ2ForkSharesTables pins AggQuery.Fork: the first fork allocates
+// exactly what the first Plan on that core count allocates, later
+// forks allocate nothing, and every fork owns fresh tables at the
+// original's regions.
+func TestQ2ForkSharesTables(t *testing.T) {
+	spec := Q2Spec{Rows: 10_000, DistinctV: 1000, Groups: 50}
+	planned, forked := memory.NewSpace(), memory.NewSpace()
+	qp, err := NewQ2(planned, testRng(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := qp.Plan(4, testRng()); err != nil {
+		t.Fatal(err)
+	}
+	q, err := NewQ2(forked, testRng(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q.Fork(4)
+	if !reflect.DeepEqual(forked.Regions(), planned.Regions()) {
+		t.Fatalf("Fork materialised %v, first Plan %v", forked.Regions(), planned.Regions())
+	}
+	allocated := forked.Allocated()
+	f := q.Fork(4).(*AggQuery)
+	if got := forked.Allocated(); got != allocated {
+		t.Errorf("forking after materialisation allocated %d bytes", got-allocated)
+	}
+	if f.GroupCol != q.GroupCol || f.ValueCol != q.ValueCol {
+		t.Error("fork does not share the loaded columns")
+	}
+	for i, lt := range q.locals {
+		if f.locals[i] == lt || f.locals[i].Region() != lt.Region() {
+			t.Errorf("local table %d: fork must own a table at region %v", i, lt.Region())
+		}
+	}
+	if f.global == q.global || f.global.Region() != q.global.Region() {
+		t.Errorf("global table: fork must own a table at region %v", q.global.Region())
+	}
+	if _, err := f.Plan(4, testRng()); err != nil {
+		t.Fatal(err)
+	}
+	if got := forked.Allocated(); got != allocated {
+		t.Errorf("planning the fork allocated %d bytes", got-allocated)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("planning a fork on another core count did not panic")
+		}
+	}()
+	_, _ = f.Plan(2, testRng())
 }
 
 func TestQ3BuildRatio(t *testing.T) {

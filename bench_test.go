@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"cachepart/internal/cachesim"
+	"cachepart/internal/cat"
 	"cachepart/internal/engine"
 	"cachepart/internal/exec"
 	"cachepart/internal/memory"
@@ -520,6 +521,43 @@ func BenchmarkSimulatorAccessBatch(b *testing.B) {
 		}
 		m.AccessBatch(0, ops[:n])
 		done += n
+	}
+}
+
+// BenchmarkSimulatorStream measures the miss/fill path one scan drives:
+// a single core walks a 64 MiB region line by line at the Fast
+// geometry (1/32 scale: 1408-set 20-way LLC) with the prefetcher on,
+// once with the full CAT mask and once restricted to two ways. One op
+// is one line; nearly every line misses the LLC and evicts.
+func BenchmarkSimulatorStream(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		mask cat.WayMask
+	}{
+		{"full", cat.FullMask(20)},
+		{"2way", 0x3},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			cfg := cachesim.DefaultConfig().Scaled(32)
+			cfg.Cores = 8
+			m, err := cachesim.New(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := m.CAT().SetMask(1, bc.mask); err != nil {
+				b.Fatal(err)
+			}
+			if err := m.CAT().Associate(0, 1); err != nil {
+				b.Fatal(err)
+			}
+			region := memory.NewSpace().Alloc("stream", 64<<20)
+			b.ResetTimer()
+			var off uint64
+			for i := 0; i < b.N; i++ {
+				m.Access(0, region.Addr(off), false)
+				off = (off + memory.LineSize) % region.Size
+			}
+		})
 	}
 }
 

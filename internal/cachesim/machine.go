@@ -149,6 +149,12 @@ type Machine struct {
 	llcOccupancy []int64
 	memTraffic   []uint64
 
+	// inclusive records that the LLC holds every line of the private
+	// caches: InclusiveLLC is set, and no epoch merge has dropped an
+	// owner touch (see EpochSim.apply) since the last Flush. While it
+	// holds, a line missing from the LLC is missing from every L2 too.
+	inclusive bool
+
 	tracer Tracer
 }
 
@@ -174,6 +180,8 @@ func New(cfg Config) (*Machine, error) {
 		l2Lat:   cfg.L2Latency * TicksPerCycle,
 		llcLat:  cfg.LLCLatency * TicksPerCycle,
 		dramLat: cfg.DRAMLatency * TicksPerCycle,
+
+		inclusive: cfg.InclusiveLLC,
 	}
 	for i := range m.l1 {
 		m.l1[i] = newCache(cfg.L1)
@@ -279,6 +287,7 @@ func (m *Machine) Flush() {
 		m.pf[i] = prefetcher{}
 	}
 	clear(m.llcOccupancy)
+	m.inclusive = m.cfg.InclusiveLLC
 }
 
 // Reset flushes the caches and zeroes clocks, counters and the DRAM
@@ -369,8 +378,9 @@ func (m *Machine) Access(core int, addr memory.Addr, write bool) Level {
 		return L2
 	}
 
-	// LLC.
-	if e := m.llc.lookup(line); e != nil {
+	// LLC. The set index is computed once for the probe and the fill.
+	set := m.llc.setIndex(line)
+	if e := m.llc.lookupAt(set, line); e != nil {
 		lat := m.llcLat
 		if e.ready > start {
 			lat = e.ready - start + m.llcLat
@@ -402,7 +412,7 @@ func (m *Machine) Access(core int, addr memory.Addr, write bool) Level {
 	if stall < m.dramStall {
 		stall = m.dramStall
 	}
-	m.fillLLC(core, line, ready)
+	m.fillLLC(core, set, line, ready, start)
 	m.fillL2(core, line)
 	m.fillL1(core, line, write)
 	m.finish(core, start, stall+m.llcLat, m.llcLat)
@@ -515,14 +525,15 @@ func (m *Machine) fillL2(core int, line uint64) {
 	}
 }
 
-// fillLLC inserts a line into the LLC respecting the core's CAT mask
-// and, for an inclusive LLC, back-invalidates the victim from the
-// private caches of every core that holds it. CMT occupancy and
-// bandwidth counters are attributed to the filling core's CLOS.
-func (m *Machine) fillLLC(core int, line uint64, ready int64) {
+// fillLLC inserts a line into LLC set `set` (the line's) respecting the
+// core's CAT mask and, for an inclusive LLC, back-invalidates the
+// victim from the private caches of every core that holds it. CMT
+// occupancy and bandwidth counters are attributed to the filling
+// core's CLOS; a dirty victim's writeback queues for DRAM at tick.
+func (m *Machine) fillLLC(core, set int, line uint64, ready, tick int64) {
 	mask := m.regs.MaskOf(core)
 	clos := m.regs.CLOSOf(core)
-	victim, slot := m.llc.fillMasked(line, ready, mask)
+	victim, slot := m.llc.fillMaskedAt(set, line, ready, mask)
 	slot.owners = 1 << uint(core)
 	slot.setCLOS(uint8(clos))
 	m.llcOccupancy[clos]++
@@ -551,7 +562,7 @@ func (m *Machine) fillLLC(core int, line uint64, ready int64) {
 	if dirty {
 		// Dirty writeback consumes a DRAM transfer slot but does not
 		// stall the core.
-		m.dramFree = max64(m.dramFree, m.now[core]) + m.dramService
+		m.dramFree = max64(m.dramFree, tick) + m.dramService
 		m.stats[core].Writebacks++
 		m.memTraffic[victim.clos()]++
 	}
@@ -622,13 +633,15 @@ func (m *Machine) prefetch(core int, line uint64) {
 	if m.dramFree-m.now[core] > m.pfDropQueue {
 		return
 	}
-	if m.llc.peek(line) != nil || m.l2[core].peek(line) != nil {
+	// While the LLC is inclusive, an LLC miss implies an L2 miss.
+	set := m.llc.setIndex(line)
+	if m.llc.peekAt(set, line) != nil || !m.inclusive && m.l2[core].peek(line) != nil {
 		return
 	}
 	begin := max64(m.now[core], m.dramFree)
 	m.dramFree = begin + m.dramService
 	ready := begin + m.dramLat
-	m.fillLLC(core, line, ready)
+	m.fillLLC(core, set, line, ready, m.now[core])
 	victim, _ := m.l2[core].fill(line, ready)
 	if victim.valid() && victim.dirty() {
 		if e := m.llc.peek(victim.line()); e != nil {

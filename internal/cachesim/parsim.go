@@ -159,16 +159,20 @@ func (es *EpochSim) apply(core int, ev *parEvent) {
 	case evTouch:
 		// The line may have been evicted by an earlier merged fill;
 		// then the touch (and the owner bit) is simply lost, exactly as
-		// if the access had raced the eviction.
+		// if the access had raced the eviction. The core's private
+		// copy stays, so the LLC is no longer inclusive.
 		if e := m.llc.lookup(ev.line); e != nil {
 			e.owners |= 1 << uint(core)
+		} else {
+			m.inclusive = false
 		}
 	case evDirty:
 		if e := m.llc.peek(ev.line); e != nil {
 			e.setDirty()
 		}
 	case evFill:
-		if e := m.llc.lookup(ev.line); e != nil {
+		set := m.llc.setIndex(ev.line)
+		if e := m.llc.lookupAt(set, ev.line); e != nil {
 			// Another core's earlier fill (or a previous epoch) already
 			// holds the line. The transfer still happened in this
 			// core's timeline, so it still consumes shared bandwidth.
@@ -178,48 +182,11 @@ func (es *EpochSim) apply(core int, ev *parEvent) {
 			m.dramFree = max64(m.dramFree, ev.tick) + m.dramService
 			return
 		}
-		es.fillLLCAt(core, ev.line, ev.ready, ev.tick)
-	}
-}
-
-// fillLLCAt is Machine.fillLLC with the access-start tick standing in
-// for the live core clock, plus the deferred shared DRAM-queue advance
-// for the fill transfer itself.
-func (es *EpochSim) fillLLCAt(core int, line uint64, ready, tick int64) {
-	m := es.m
-	m.dramFree = max64(m.dramFree, tick) + m.dramService
-	mask := m.regs.MaskOf(core)
-	clos := m.regs.CLOSOf(core)
-	victim, slot := m.llc.fillMasked(line, ready, mask)
-	slot.owners = 1 << uint(core)
-	slot.setCLOS(uint8(clos))
-	m.llcOccupancy[clos]++
-	m.memTraffic[clos]++
-	if !victim.valid() {
-		return
-	}
-	m.llcOccupancy[victim.clos()]--
-	dirty := victim.dirty()
-	if m.cfg.InclusiveLLC && victim.owners != 0 {
-		vline := victim.line()
-		for c := 0; victim.owners != 0; c++ {
-			bit := uint32(1) << uint(c)
-			if victim.owners&bit == 0 {
-				continue
-			}
-			victim.owners &^= bit
-			if _, d := m.l1[c].invalidate(vline); d {
-				dirty = true
-			}
-			if _, d := m.l2[c].invalidate(vline); d {
-				dirty = true
-			}
-		}
-	}
-	if dirty {
-		m.dramFree = max64(m.dramFree, tick) + m.dramService
-		m.stats[core].Writebacks++
-		m.memTraffic[victim.clos()]++
+		// The fill's own transfer, deferred to the merge, then the
+		// serial fill with the access-start tick standing in for the
+		// live core clock.
+		m.dramFree = max64(m.dramFree, ev.tick) + m.dramService
+		m.fillLLC(core, set, ev.line, ev.ready, ev.tick)
 	}
 }
 

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -428,24 +429,27 @@ func (e *Engine) openLoopSerial(ol *olState, feed Feed, opts OpenLoopOptions) er
 }
 
 // minRunnable finds the busy group and slot whose core clock is least
-// advanced, mirroring Engine.minRunnable over open-loop groups.
+// advanced, mirroring Engine.minRunnable over open-loop groups: ties go
+// to the first in scan order, and (nil, -1, 0) means nothing can run.
 func (ol *olState) minRunnable(m *cachesim.Machine) (*olGroup, int, int64) {
 	var best *olGroup
-	bestSlot := -1
-	var bestNow int64
+	bestSlot, bestNow := -1, int64(math.MaxInt64)
 	for _, g := range ol.groups {
 		if !g.busy {
 			continue
 		}
 		for i := range g.st.slots {
-			s := &g.st.slots[i]
-			if s.kernel == nil || s.done {
-				continue
+			now := m.Now(g.cores[i])
+			if g.st.slots[i].done {
+				now = math.MaxInt64
 			}
-			if now := m.Now(g.cores[i]); best == nil || now < bestNow {
+			if now < bestNow {
 				best, bestSlot, bestNow = g, i, now
 			}
 		}
+	}
+	if best == nil {
+		return nil, -1, 0
 	}
 	return best, bestSlot, bestNow
 }
@@ -523,7 +527,7 @@ func (e *Engine) openLoopParallel(ol *olState, feed Feed, opts OpenLoopOptions) 
 			}
 			for i := range g.st.slots {
 				s := &g.st.slots[i]
-				if s.kernel == nil || s.done {
+				if s.done {
 					continue
 				}
 				core := g.cores[i]

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -147,7 +148,9 @@ func (r StreamResult) Percentile(p float64) int64 {
 //conc:shared slot is bound to one core; only the worker driving that core writes it during an epoch, the coordinator reads after the join
 type kernelSlot struct {
 	kernel exec.Kernel
-	done   bool
+	// done marks a finished kernel, and a slot the phase left without
+	// one: a slot is runnable iff !done.
+	done bool
 	// ticksPerRow is an EWMA of the kernel's cost used to budget
 	// time-uniform slices.
 	ticksPerRow float64
@@ -207,8 +210,13 @@ type stream struct {
 	ticksAtWarm int     // executions recorded before warm-up
 }
 
-// binding ties one worker core to its stream and kernel slot.
-type binding struct{ core, si, slot int }
+// binding ties one worker core to its stream and kernel slot. armPhase
+// refills a stream's slots in place, so slot stays valid for the whole
+// run.
+type binding struct {
+	core, si int
+	slot     *kernelSlot
+}
 
 // runState carries the shared prologue products of a run — streams,
 // core bindings, warm-up bookkeeping — between the serial and parallel
@@ -309,7 +317,7 @@ func (e *Engine) prepareRun(specs []StreamSpec, opts RunOptions) (*runState, err
 		}
 		streams[i] = st
 		for slot, c := range spec.Cores {
-			bindings = append(bindings, binding{core: c, si: i, slot: slot})
+			bindings = append(bindings, binding{core: c, si: i, slot: &st.slots[slot]})
 		}
 	}
 	sort.Slice(bindings, func(i, j int) bool { return bindings[i].core < bindings[j].core })
@@ -346,18 +354,24 @@ func (e *Engine) prepareRun(specs []StreamSpec, opts RunOptions) (*runState, err
 }
 
 // minRunnable finds the least-advanced core with runnable work,
-// returning its binding index and clock, or -1 when nothing can run.
+// returning its binding index and clock, or (-1, 0) when nothing can
+// run. Ties go to the lowest binding index. The scan has no
+// data-dependent branch: an idle core reads as math.MaxInt64, which
+// the strict < never picks (no live clock reaches it).
 func (e *Engine) minRunnable(rs *runState) (int, int64) {
-	minIdx := -1
-	var minNow int64
-	for bi, b := range rs.bindings {
-		st := rs.streams[b.si]
-		if b.slot >= len(st.slots) || st.slots[b.slot].done || st.slots[b.slot].kernel == nil {
-			continue
+	minIdx, minNow := -1, int64(math.MaxInt64)
+	for bi := range rs.bindings {
+		b := &rs.bindings[bi]
+		now := e.m.Now(b.core)
+		if b.slot.done {
+			now = math.MaxInt64
 		}
-		if now := e.m.Now(b.core); minIdx < 0 || now < minNow {
+		if now < minNow {
 			minIdx, minNow = bi, now
 		}
+	}
+	if minIdx < 0 {
+		return -1, 0
 	}
 	return minIdx, minNow
 }
@@ -382,7 +396,7 @@ func (e *Engine) runSerial(rs *runState, opts RunOptions) error {
 
 		b := rs.bindings[minIdx]
 		st := rs.streams[b.si]
-		slot := &st.slots[b.slot]
+		slot := b.slot
 		budget := slot.budgetFor(opts.TargetSliceTicks, opts.Quantum)
 		before := e.m.Now(b.core)
 		rows, done := slot.kernel.Step(rs.ctxs[b.core], budget)
@@ -444,7 +458,7 @@ func (e *Engine) results(rs *runState) []StreamResult {
 // finished.
 func (st *stream) phaseDone() bool {
 	for i := range st.slots {
-		if st.slots[i].kernel != nil && !st.slots[i].done {
+		if !st.slots[i].done {
 			return false
 		}
 	}
@@ -489,10 +503,16 @@ func (e *Engine) planPhases(st *stream) error {
 }
 
 // armPhase binds the current phase's kernels to the stream's cores and
-// applies the phase's CUID to each participating worker.
+// applies the phase's CUID to each participating worker. The slots are
+// refilled in place, so pointers to them stay valid across phases.
 func (e *Engine) armPhase(st *stream) error {
 	ph := st.phases[st.phaseIdx]
-	st.slots = make([]kernelSlot, len(st.spec.Cores))
+	if st.slots == nil {
+		st.slots = make([]kernelSlot, len(st.spec.Cores))
+	}
+	for i := range st.slots {
+		st.slots[i] = kernelSlot{done: true}
+	}
 	for i := range ph.Kernels {
 		st.slots[i] = kernelSlot{kernel: ph.Kernels[i]}
 		if err := e.applyJob(st.spec.Cores[i], st.idx, ph.CUID, ph.Footprint); err != nil {

@@ -86,7 +86,7 @@ func (e *Engine) runParallel(rs *runState, opts RunOptions) error {
 			}
 			for i := range st.slots {
 				s := &st.slots[i]
-				if s.kernel == nil || s.done {
+				if s.done {
 					continue
 				}
 				core := st.spec.Cores[i]
@@ -188,7 +188,7 @@ func (e *Engine) stepStreamInterleaved(st *stream, ctxs []*exec.Ctx, horizon int
 		var minNow int64
 		for i := range st.slots {
 			s := &st.slots[i]
-			if s.kernel == nil || s.done {
+			if s.done {
 				continue
 			}
 			if now := e.m.Now(st.spec.Cores[i]); now < horizon && (minSlot < 0 || now < minNow) {

@@ -1,7 +1,8 @@
 #!/bin/sh
 # bench.sh — measures the epoch-parallel simulation mode (DESIGN.md
 # §11) against the serial reference, the batched access fast path
-# against the per-call loop, one full open-loop serving sweep
+# against the per-call loop, the streaming miss/fill path under a full
+# and a two-way CAT mask, one full open-loop serving sweep
 # (DESIGN.md §13) and one SLO-aware overload point (DESIGN.md §15),
 # then writes the results as BENCH_9.json
 # (format documented in EXPERIMENTS.md). After writing, the fresh run
@@ -27,8 +28,8 @@ echo "== go test -bench (figure co-runs, serial vs parallel)" >&2
 fig="$(go test -run '^$' -bench 'Fig9$|Fig9Parallel$|Fig11$|Fig11Parallel$' -benchtime 2x .)"
 echo "$fig" >&2
 
-echo "== go test -bench (simulator access, loop vs batch)" >&2
-acc="$(go test -run '^$' -bench 'SimulatorAccess$|SimulatorAccessBatch$' -benchtime 2000000x .)"
+echo "== go test -bench (simulator access, loop vs batch; streaming fills)" >&2
+acc="$(go test -run '^$' -bench 'SimulatorAccess$|SimulatorAccessBatch$|SimulatorStream$' -benchtime 2000000x .)"
 echo "$acc" >&2
 
 echo "== go test -bench (open-loop serving sweep at 1.0x)" >&2
@@ -57,9 +58,9 @@ END {
 	n = 0
 	for (k in ns) order[n++] = k
 	# Fixed emission order keeps the file diffable run to run.
-	split("BenchmarkFig9 BenchmarkFig9Parallel BenchmarkFig11 BenchmarkFig11Parallel BenchmarkSimulatorAccess BenchmarkSimulatorAccessBatch BenchmarkServe BenchmarkOverload", want, " ")
+	split("BenchmarkFig9 BenchmarkFig9Parallel BenchmarkFig11 BenchmarkFig11Parallel BenchmarkSimulatorAccess BenchmarkSimulatorAccessBatch BenchmarkSimulatorStream/full BenchmarkSimulatorStream/2way BenchmarkServe BenchmarkOverload", want, " ")
 	first = 1
-	for (i = 1; i <= 8; i++) {
+	for (i = 1; i <= 10; i++) {
 		k = want[i]
 		if (!(k in ns)) continue
 		if (!first) printf ",\n"
@@ -95,7 +96,7 @@ if [ -n "$prev" ]; then
 	awk -v prevfile="$prev" -v curfile="$out" '
 	function load(file, arr,    line, k, v) {
 		while ((getline line < file) > 0) {
-			if (line ~ /"Benchmark[A-Za-z0-9]+":/) {
+			if (line ~ /"Benchmark[A-Za-z0-9\/]+":/) {
 				k = line
 				sub(/^[ \t]*"/, "", k)
 				sub(/".*$/, "", k)
@@ -110,9 +111,9 @@ if [ -n "$prev" ]; then
 	BEGIN {
 		load(prevfile, old)
 		load(curfile, cur)
-		split("BenchmarkFig9 BenchmarkFig9Parallel BenchmarkFig11 BenchmarkFig11Parallel BenchmarkSimulatorAccess BenchmarkSimulatorAccessBatch BenchmarkServe BenchmarkOverload", want, " ")
+		split("BenchmarkFig9 BenchmarkFig9Parallel BenchmarkFig11 BenchmarkFig11Parallel BenchmarkSimulatorAccess BenchmarkSimulatorAccessBatch BenchmarkSimulatorStream/full BenchmarkSimulatorStream/2way BenchmarkServe BenchmarkOverload", want, " ")
 		printf "%-30s %14s %14s %9s\n", "benchmark", "prev", "cur", "delta"
-		for (i = 1; i <= 8; i++) {
+		for (i = 1; i <= 10; i++) {
 			k = want[i]
 			if (!(k in cur) || !(k in old) || old[k] == 0) continue
 			d = (cur[k] - old[k]) / old[k] * 100
